@@ -85,6 +85,13 @@ class ServiceClosedError(ServiceError):
     """Raised when a request reaches a service that is not running."""
 
 
+class RequestTooLargeError(ServiceError):
+    """Raised when a request line exceeds the TCP front end's line limit.
+
+    The oversized line is discarded; the connection stays open.
+    """
+
+
 class ServiceTimeoutError(ServiceError):
     """Raised when a service request exceeds its per-request timeout.
 

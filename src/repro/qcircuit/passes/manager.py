@@ -48,10 +48,16 @@ class PassManager:
         self.max_rounds = max_rounds
 
     def run(
-        self, circuit: QuantumCircuit
+        self, circuit: QuantumCircuit, stats: CircuitStats | None = None
     ) -> tuple[QuantumCircuit, tuple[PassRecord, ...]]:
-        """Optimize ``circuit``; return it with the records of what changed."""
+        """Optimize ``circuit``; return it with the records of what changed.
+
+        ``stats`` are ``circuit``'s own stats when the caller already has
+        them.  Each record's ``before`` is the previous record's ``after``,
+        so the stats of every circuit are computed once.
+        """
         current = circuit
+        current_stats = stats if stats is not None else CircuitStats.from_circuit(circuit)
         records: list[PassRecord] = []
         for round_index in range(1, self.max_rounds + 1):
             round_changed = False
@@ -61,15 +67,16 @@ class PassManager:
                 if rewritten.instructions == before:
                     continue
                 round_changed = True
+                rewritten_stats = CircuitStats.from_circuit(rewritten)
                 records.append(
                     PassRecord(
                         pass_name=circuit_pass.name,
                         round_index=round_index,
-                        before=CircuitStats.from_circuit(current),
-                        after=CircuitStats.from_circuit(rewritten),
+                        before=current_stats,
+                        after=rewritten_stats,
                     )
                 )
-                current = rewritten
+                current, current_stats = rewritten, rewritten_stats
             if not round_changed:
                 break
         return current, tuple(records)

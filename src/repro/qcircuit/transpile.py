@@ -363,7 +363,7 @@ def transpile_with_report(
     lowered_stats = CircuitStats.from_circuit(lowered)
     pipeline = default_pipeline(options.optimization_level, options.basis_gates)
     if pipeline:
-        optimized, records = PassManager(pipeline).run(lowered)
+        optimized, records = PassManager(pipeline).run(lowered, lowered_stats)
     else:
         optimized, records = lowered, ()
     report = TranspileReport(
@@ -373,7 +373,7 @@ def transpile_with_report(
         basis_gates=tuple(sorted(options.basis_gates)),
         source=source_stats,
         lowered=lowered_stats,
-        optimized=CircuitStats.from_circuit(optimized),
+        optimized=records[-1].after if records else lowered_stats,
         passes=records,
     )
     return optimized, report

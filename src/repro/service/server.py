@@ -41,6 +41,7 @@ from typing import Callable
 
 from repro.exceptions import (
     ReproError,
+    RequestTooLargeError,
     ServiceClosedError,
     ServiceError,
     ServiceTimeoutError,
@@ -424,7 +425,9 @@ class SolveService:
 #
 # Each request is handled as its own task, so one connection can pipeline
 # concurrent requests — which is what lets a remote client's burst of
-# identical specs dedupe onto one execution.
+# identical specs dedupe onto one execution.  A line longer than the
+# stream's limit (asyncio's 64 KiB default) is discarded and answered with
+# a RequestTooLargeError under id null; the connection stays open.
 
 
 async def _dispatch(service: SolveService, message: dict) -> dict:
@@ -442,14 +445,44 @@ async def _dispatch(service: SolveService, message: dict) -> dict:
     raise ServiceError(f"unknown op {operation!r}")
 
 
+async def _read_request_line(reader: asyncio.StreamReader) -> bytes | None:
+    """The next request line, ``b""`` at EOF, or ``None`` for an oversized one.
+
+    An oversized line is consumed through its newline (or EOF), so the
+    requests pipelined after it are read intact.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as error:
+        return error.partial
+    except asyncio.LimitOverrunError as error:
+        consumed = error.consumed
+    while True:
+        # The first ``consumed`` buffered bytes hold no newline: drop them
+        # and look for the end of the line again.
+        await reader.readexactly(consumed)
+        try:
+            await reader.readuntil(b"\n")
+            return None
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError as error:
+            consumed = error.consumed
+
+
 async def _handle_message(
     service: SolveService,
-    line: bytes,
+    line: bytes | None,
     writer: asyncio.StreamWriter,
     write_lock: asyncio.Lock,
 ) -> None:
+    """Answer one request line; ``None`` stands for a discarded oversized line."""
     request_id = None
     try:
+        if line is None:
+            raise RequestTooLargeError(
+                "request line exceeds the stream limit and was discarded"
+            )
         message = json.loads(line)
         request_id = message.get("id")
         payload = await _dispatch(service, message)
@@ -480,10 +513,10 @@ async def _handle_connection(
     tasks: set[asyncio.Task] = set()
     try:
         while True:
-            line = await reader.readline()
-            if not line:
+            line = await _read_request_line(reader)
+            if line == b"":
                 break
-            if not line.strip():
+            if line is not None and not line.strip():
                 continue
             task = asyncio.get_running_loop().create_task(
                 _handle_message(service, line, writer, write_lock)

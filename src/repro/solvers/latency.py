@@ -93,25 +93,30 @@ class LatencyModel:
 
     def estimate(
         self,
-        circuit: QuantumCircuit,
+        circuit: QuantumCircuit | None,
         iterations: int,
         shots: int,
         compilation_seconds: float,
         num_circuits: int = 1,
+        circuit_duration: float | None = None,
     ) -> LatencyEstimate:
         """End-to-end latency for a full variational run.
 
         ``num_circuits`` accounts for the variable-elimination overhead: each
         iteration must execute one circuit per eliminated-variable assignment.
+        ``circuit_duration`` passes in a :meth:`circuit_duration` the caller
+        already holds; ``circuit`` is then not walked and may be ``None``.
         """
-        per_iteration = self.execution_time(circuit, shots) * num_circuits
+        if circuit_duration is None:
+            circuit_duration = self.circuit_duration(circuit)
+        per_iteration = (self.per_job_overhead + shots * circuit_duration) * num_circuits
         quantum = iterations * per_iteration
         classical = iterations * self.classical_update_time
         return LatencyEstimate(
             compilation=compilation_seconds,
             quantum_execution=quantum,
             classical_processing=classical,
-            circuit_duration=self.circuit_duration(circuit),
+            circuit_duration=circuit_duration,
             iterations=iterations,
             shots=shots,
         )

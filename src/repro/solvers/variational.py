@@ -56,6 +56,7 @@ from repro.qcircuit.transpile import (
 )
 from repro.solvers.base import LatencyBreakdown, SolverResult
 from repro.solvers.config import NoiseConfig, as_noise_config
+from repro.solvers.depth_memo import DEPTH_MEMO, DepthAccount, memo_key
 from repro.solvers.latency import LatencyModel
 from repro.solvers.optimizer import Optimizer
 
@@ -341,21 +342,21 @@ class VariationalEngine:
         rng = np.random.default_rng(self.options.seed)
         backend = spec.backend or DenseStateBackend(spec.num_qubits)
 
-        # ---- compilation (circuit construction + lowering) --------------
+        # ---- compilation (circuit construction + depth accounting) -----
         compile_start = time.perf_counter()
         reference_circuit = spec.build_circuit(spec.initial_parameters)
         transpile_options = self.options.transpile_options()
-        transpile_report = None
+        latency_model = self.options.latency_model or LatencyModel()
         if self.options.transpile_for_depth:
-            transpiled, transpile_report = transpile_with_report(
-                reference_circuit, transpile_options
-            )
-            transpiled_depth = transpiled.depth() + unitary_synthesis_penalty(
-                transpiled
-            )
+            depth = account_depth(reference_circuit, transpile_options, latency_model)
         else:
-            transpiled = reference_circuit
-            transpiled_depth = reference_circuit.depth()
+            source_depth = reference_circuit.depth()
+            depth = DepthAccount(
+                circuit_depth=source_depth,
+                transpiled_depth=source_depth,
+                num_two_qubit_gates=reference_circuit.num_two_qubit_gates(),
+                circuit_duration=latency_model.circuit_duration(reference_circuit),
+            )
         compilation_seconds = time.perf_counter() - compile_start
 
         # ---- classical optimization against the exact expectation -------
@@ -426,12 +427,12 @@ class VariationalEngine:
             reported_distribution = backend.exact_distribution(final_state_vector)
 
         # ---- latency accounting -----------------------------------------
-        latency_model = self.options.latency_model or LatencyModel()
         estimate = latency_model.estimate(
-            transpiled,
+            None,
             iterations=max(optimizer_result.num_iterations, 1),
             shots=self.options.shots,
             compilation_seconds=compilation_seconds,
+            circuit_duration=depth.circuit_duration,
         )
         latency = LatencyBreakdown(
             compilation=estimate.compilation,
@@ -450,8 +451,8 @@ class VariationalEngine:
                 "state_backend": backend.name,
             }
         )
-        if transpile_report is not None:
-            metadata["transpile_report"] = transpile_report.to_dict()
+        if depth.report is not None:
+            metadata["transpile_report"] = depth.report.to_dict()
         if noise_config is not None:
             metadata["noise"] = noise_config.to_dict()
         return SolverResult(
@@ -461,13 +462,40 @@ class VariationalEngine:
             exact_distribution=reported_distribution,
             optimal_parameters=optimizer_result.parameters,
             trace=optimizer_result.trace,
-            circuit_depth=reference_circuit.depth(),
-            transpiled_depth=transpiled_depth,
+            circuit_depth=depth.circuit_depth,
+            transpiled_depth=depth.transpiled_depth,
             num_qubits=spec.num_qubits,
-            num_two_qubit_gates=transpiled.num_two_qubit_gates(),
+            num_two_qubit_gates=depth.num_two_qubit_gates,
             latency=latency,
             metadata=metadata,
         )
+
+
+def account_depth(
+    circuit: QuantumCircuit, options: TranspileOptions, latency_model: LatencyModel
+) -> DepthAccount:
+    """Depth, two-qubit count and duration of ``circuit`` after transpilation.
+
+    Answered from the process-wide :data:`~repro.solvers.depth_memo.DEPTH_MEMO`
+    when this exact circuit was accounted before under the same options and
+    device profile; otherwise transpiled here and remembered.
+    """
+    key = memo_key(circuit, options, latency_model)
+    if key is not None:
+        cached = DEPTH_MEMO.get(key)
+        if cached is not None:
+            return cached
+    transpiled, report = transpile_with_report(circuit, options)
+    account = DepthAccount(
+        circuit_depth=report.source.depth,
+        transpiled_depth=report.optimized.depth + unitary_synthesis_penalty(transpiled),
+        num_two_qubit_gates=report.optimized.two_qubit_gates,
+        circuit_duration=latency_model.circuit_duration(transpiled),
+        report=report,
+    )
+    if key is not None:
+        DEPTH_MEMO.put(key, account)
+    return account
 
 
 # ---------------------------------------------------------------------------

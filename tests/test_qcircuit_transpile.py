@@ -9,15 +9,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.problems import make_benchmark
 from repro.qcircuit.circuit import QuantumCircuit
 from repro.qcircuit.gates import BASIS_GATES
+from repro.qcircuit.passes.manager import PassManager, default_pipeline
+from repro.qcircuit.passes.report import CircuitStats, PassRecord, TranspileReport
 from repro.qcircuit.statevector import Statevector, StatevectorSimulator
 from repro.qcircuit.transpile import (
     TranspileOptions,
+    Transpiler,
     depth_after_transpile,
     gate_counts_after_transpile,
     transpile,
+    transpile_with_report,
 )
+from repro.solvers.chocoq import ChocoQConfig, ChocoQSolver
 
 from repro.testing import global_phase_equal
 
@@ -208,3 +214,56 @@ class TestLevelZeroGolden:
         optimized = transpile(source)
         assert optimized.size() < level_zero.size()
         assert optimized.num_qubits == level_zero.num_qubits
+
+
+def _recomputed_report(circuit: QuantumCircuit, options: TranspileOptions) -> TranspileReport:
+    """The report with every stats row computed from its own circuit."""
+    lowered = Transpiler(options).run(circuit)
+    pipeline = default_pipeline(options.optimization_level, options.basis_gates)
+    current, records = lowered, []
+    for round_index in range(1, PassManager(pipeline).max_rounds + 1):
+        round_changed = False
+        for circuit_pass in pipeline:
+            rewritten = circuit_pass.run(current)
+            if rewritten.instructions == current.instructions:
+                continue
+            round_changed = True
+            records.append(
+                PassRecord(
+                    pass_name=circuit_pass.name,
+                    round_index=round_index,
+                    before=CircuitStats.from_circuit(current),
+                    after=CircuitStats.from_circuit(rewritten),
+                )
+            )
+            current = rewritten
+        if not round_changed:
+            break
+    return TranspileReport(
+        circuit_name=circuit.name,
+        num_qubits=current.num_qubits,
+        optimization_level=options.optimization_level,
+        basis_gates=tuple(sorted(options.basis_gates)),
+        source=CircuitStats.from_circuit(circuit),
+        lowered=CircuitStats.from_circuit(lowered),
+        optimized=CircuitStats.from_circuit(current),
+        passes=tuple(records),
+    )
+
+
+class TestReportStatsReuse:
+    """The pass stack reuses each circuit's stats instead of recomputing them;
+    the report must equal the one built by recomputing every row."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "case", ["F1", "F2", "F3", "G1", "G2", "G3", "K1", "K2", "K3"]
+    )
+    def test_report_matches_recomputed_stats(self, case, level):
+        solver = ChocoQSolver(config=ChocoQConfig(num_layers=1, backend="subspace"))
+        spec, _ = solver.build_spec(make_benchmark(case))
+        circuit = spec.build_circuit(spec.initial_parameters)
+        options = TranspileOptions(optimization_level=level)
+        optimized, report = transpile_with_report(circuit, options)
+        assert report.to_dict() == _recomputed_report(circuit, options).to_dict()
+        assert report.optimized == CircuitStats.from_circuit(optimized)

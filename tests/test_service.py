@@ -10,6 +10,7 @@ environment, so each test drives its own loop via ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 
 import numpy as np
@@ -485,3 +486,46 @@ class TestClients:
                 await service.stop()
 
         asyncio.run(scenario())
+
+    @pytest.mark.parametrize("pieces", [1, 5], ids=["one-write", "trickled"])
+    def test_tcp_oversized_line_answered_with_typed_error(self, pieces):
+        """A line past the 64 KiB stream limit is discarded, not fatal.
+
+        The ping pipelined before it and the one after it are both answered
+        on the same connection.  Trickling the 256 KiB line in pieces makes
+        the server discard it across several limit overruns.
+        """
+        oversized = json.dumps({"id": 2, "op": "ping", "pad": "x" * (1 << 18)}).encode()
+        size = -(-len(oversized) // pieces)
+        chunks = [oversized[i : i + size] for i in range(0, len(oversized), size)]
+
+        async def scenario():
+            service = await SolveService(execute_fn=SpyExecutor()).start()
+            server = await serve_tcp(service)
+            host, port = server.sockets[0].getsockname()[:2]
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(b'{"id": 1, "op": "ping"}\n')
+                for chunk in chunks:
+                    writer.write(chunk)
+                    await writer.drain()
+                    await asyncio.sleep(0.02)
+                writer.write(b'\n{"id": 3, "op": "ping"}\n')
+                await writer.drain()
+                lines = [
+                    await asyncio.wait_for(reader.readline(), timeout=10.0)
+                    for _ in range(3)
+                ]
+                return [json.loads(line) for line in lines]
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+                await service.stop()
+
+        responses = {response["id"]: response for response in asyncio.run(scenario())}
+        assert responses[1] == {"id": 1, "ok": True, "pong": True}
+        assert responses[3] == {"id": 3, "ok": True, "pong": True}
+        assert responses[None]["ok"] is False
+        assert responses[None]["error"]["type"] == "RequestTooLargeError"
